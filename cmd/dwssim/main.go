@@ -22,7 +22,6 @@ import (
 	"os"
 	"strings"
 
-	"dws/internal/deque"
 	"dws/internal/scenario"
 	"dws/internal/sim"
 	"dws/internal/task"
@@ -57,15 +56,10 @@ func main() {
 		penalty = flag.Float64("cachepenalty", 2.0, "cold-cache slowdown factor")
 		warm    = flag.Int64("cachewarm", 2000, "cache warm-up time (µs)")
 		llc     = flag.Float64("llc", 0.25, "LLC contention penalty per sharer")
-		engine  = flag.String("engine", "", "deque engine: chaselev|locked|relaxed (empty = $DWS_DEQUE_ENGINE, then chaselev)")
 	)
 	flag.Parse()
 
 	pol, err := parsePolicy(*policy)
-	if err != nil {
-		fatal(err)
-	}
-	eng, err := engineFromFlag(*engine)
 	if err != nil {
 		fatal(err)
 	}
@@ -78,7 +72,6 @@ func main() {
 		cfg.StrongYield = *strongY
 		cfg.CachePenalty, cfg.CacheWarmUS, cfg.LLCPenalty = *penalty, *warm, *llc
 		cfg.Seed = *seed
-		cfg.Engine = eng
 		if *shardsN > 0 {
 			runFedScenario(*scenName, cfg, *shardsN, *spillName)
 		} else {
@@ -106,7 +99,7 @@ func main() {
 	}
 
 	cfg := sim.Config{
-		Cores: *cores, SocketSize: *sockets, Policy: pol, Engine: eng,
+		Cores: *cores, SocketSize: *sockets, Policy: pol,
 		QuantumUS: *quantum, StealCostUS: *steal, StealYieldUS: *yield,
 		WakeLatencyUS: *wake, TSleep: *tsleep, CoordPeriodUS: *coord,
 		CoordCostUS: 5, StrongYield: *strongY,
@@ -135,7 +128,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Println(summaryLine(pol, m.Engine(), *cores, *seed, res))
+	fmt.Printf("policy=%v cores=%d seed=%d simulated=%.3fs events=%d util=%.2f\n",
+		pol, *cores, *seed, float64(res.EndTimeUS)/1e6, res.Events, res.Utilization())
 	if rec != nil {
 		f, err := os.Create(*traceOut)
 		if err != nil {
@@ -218,23 +212,6 @@ func runFedScenario(name string, cfg sim.Config, shards int, spillName string) {
 			fmt.Printf("  s%d -> s%d  %-6s %d\n", sp.From, sp.To, sp.Reason, sp.Count)
 		}
 	}
-}
-
-// engineFromFlag resolves the -engine flag: an empty value falls back to
-// DWS_DEQUE_ENGINE and then Chase–Lev; unknown names are rejected before
-// the simulation starts.
-func engineFromFlag(name string) (deque.Kind, error) {
-	k, err := deque.ParseKind(name)
-	if err != nil {
-		return 0, err
-	}
-	return k.Resolve()
-}
-
-// summaryLine formats the one-line run summary printed after -bench runs.
-func summaryLine(pol sim.Policy, eng deque.Kind, cores int, seed int64, res *sim.Results) string {
-	return fmt.Sprintf("policy=%v engine=%v cores=%d seed=%d simulated=%.3fs events=%d util=%.2f",
-		pol, eng, cores, seed, float64(res.EndTimeUS)/1e6, res.Events, res.Utilization())
 }
 
 func parsePolicy(s string) (sim.Policy, error) {

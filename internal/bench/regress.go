@@ -23,12 +23,6 @@ type BenchEntry struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
-	// Extra carries custom b.ReportMetric series (e.g. the contended-steal
-	// benchmark's dups/op). Informational only: the gate compares ns/op
-	// and allocs/op, never Extra, because custom metrics may be
-	// legitimately nondeterministic (a duplicate-pop rate depends on race
-	// timing).
-	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
 // BenchFile is a committed benchmark baseline (BENCH_*.json).

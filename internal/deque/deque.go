@@ -1,22 +1,17 @@
-// Package deque provides work-stealing double-ended queues behind a
-// runtime-selectable Engine interface.
-//
-// Three engines are provided:
+// Package deque provides work-stealing double-ended queues.
 //
 //   - Deque: a lock-free Chase–Lev deque storing pointers. The owner pushes
 //     and pops at the bottom; any number of thieves steal from the top with
-//     a compare-and-swap. This is the default engine of the live runtime
-//     (internal/rt).
-//   - Locked: a mutex-protected deque with identical semantics, used as a
-//     reference implementation in differential tests.
-//   - Relaxed: a fence-free deque with multiplicity — no CAS on steal, no
-//     fence on take, at the cost of rare duplicate pops that callers must
-//     absorb with an execute-once guard (see Relaxed and Kind.Multiplicity).
+//     a compare-and-swap. Every worker of the live runtime (internal/rt)
+//     owns one.
+//   - Locked: a mutex-protected deque with identical semantics, the
+//     reference implementation of the differential tests.
+//   - Bounded: a fixed-capacity multi-producer/multi-consumer FIFO ring
+//     (the runtime's shared task-node overflow).
 //
-// Engines are selected by Kind (flags/configs) or, for KindAuto, the
-// DWS_DEQUE_ENGINE environment variable; NewEngine constructs one. The
-// zero value of the deque types is not usable; construct with
-// New / NewLocked / NewRelaxed.
+// Both work-stealing deques are strict: every pushed element is returned
+// by exactly one Pop or Steal. The zero value of the deque types is not
+// usable; construct with New / NewLocked / NewBounded.
 package deque
 
 import "sync/atomic"

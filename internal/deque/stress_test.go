@@ -9,21 +9,33 @@ import (
 	"testing"
 )
 
+// engine is the owner/thief surface both work-stealing deques share.
+type engine interface {
+	Push(v *int)
+	Pop() *int
+	Steal() *int
+	Len() int
+}
+
+// engines are the deques the concurrent battery holds to one contract:
+// the lock-free Chase–Lev deque and its mutex reference.
+var engines = []struct {
+	name string
+	make func(capacity int) engine
+}{
+	{"chaselev", func(c int) engine { return New[int](c) }},
+	{"locked", func(c int) engine { return NewLocked[int](c) }},
+}
+
 // stressDeque drives one owner (Push/Pop per a seeded script) against
-// `thieves` concurrent stealers and asserts the work-stealing contract of
-// the engine under test:
+// `thieves` concurrent stealers and asserts the work-stealing contract:
 //
-//   - at-least-once: every pushed value is consumed by someone — nothing
-//     is ever lost, on any engine;
-//   - exactly-once unless allowDups: strict engines must not duplicate;
-//     engines with multiplicity (Relaxed) may deliver a value more than
-//     once, and the duplicate count is returned for accounting;
-//   - per-thief monotonicity (strict engines only): steals take the FIFO
-//     end, so the values one thief observes are strictly increasing. A
-//     relaxed top regression may legally re-deliver older values, so the
-//     check is waived under allowDups;
+//   - exactly-once: every pushed value is consumed by exactly one Pop or
+//     Steal — nothing lost, nothing duplicated;
+//   - per-thief monotonicity: steals take the FIFO end, so the values one
+//     thief observes are strictly increasing;
 //   - Len sanity: never negative, never more than the values pushed so far.
-func stressDeque(t *testing.T, d Engine[int], seed int64, thieves, pushes int, allowDups bool) int {
+func stressDeque(t *testing.T, d engine, seed int64, thieves, pushes int) {
 	t.Helper()
 	vals := make([]int, pushes) // stable addresses for the *int payloads
 	for i := range vals {
@@ -68,9 +80,8 @@ func stressDeque(t *testing.T, d Engine[int], seed int64, thieves, pushes int, a
 			runtime.Gosched()
 		}
 	}
-	// Drain what the thieves leave behind. A nil Pop with Len > 0 means
-	// either an in-flight steal still holds the last entries or (Relaxed) a
-	// ghost slot re-exposed by a top regression; both clear with retries.
+	// Drain what the thieves leave behind. A nil Pop with Len > 0 means an
+	// in-flight steal still holds the last entry; it clears with retries.
 	for {
 		if v := d.Pop(); v != nil {
 			popped = append(popped, *v)
@@ -92,7 +103,7 @@ func stressDeque(t *testing.T, d Engine[int], seed int64, thieves, pushes int, a
 		prev := -1
 		for _, v := range s {
 			seen[v]++
-			if v <= prev && !allowDups {
+			if v <= prev {
 				t.Errorf("thief %d stole %d after %d: steals must take the FIFO end in order", i, v, prev)
 			}
 			prev = v
@@ -107,96 +118,31 @@ func stressDeque(t *testing.T, d Engine[int], seed int64, thieves, pushes int, a
 			dup += n - 1
 		}
 	}
-	if lost > 0 {
-		t.Fatalf("at-least-once broken: %d values lost (of %d pushed, %d duplicated)", lost, pushes, dup)
+	if lost > 0 || dup > 0 {
+		t.Fatalf("exactly-once broken: %d values lost, %d duplicated deliveries (of %d pushed)", lost, dup, pushes)
 	}
-	if dup > 0 && !allowDups {
-		t.Fatalf("conservation broken: %d duplicated deliveries (of %d pushed) on a strict engine", dup, pushes)
-	}
-	return dup
 }
 
-// TestEngineConcurrentStress is the seeded multi-thief battery over every
-// engine, small enough to run under -race on every CI pass. The Locked
+// TestEngineConcurrentStress is the seeded multi-thief battery over both
+// deques, small enough to run under -race on every CI pass. The Locked
 // rows hold the reference implementation to the identical contract: if an
-// invariant ever fires on a lock-free engine but not here, the bug is in
-// the engine, not the test.
+// invariant ever fires on Chase–Lev but not here, the bug is in the
+// deque, not the test.
 func TestEngineConcurrentStress(t *testing.T) {
-	for _, kind := range Kinds() {
+	for _, e := range engines {
 		for _, thieves := range []int{1, 2, 4} {
 			for seed := int64(1); seed <= 4; seed++ {
-				t.Run(fmt.Sprintf("%v/thieves=%d/seed=%d", kind, thieves, seed), func(t *testing.T) {
-					dup := stressDeque(t, NewEngine[int](kind, 4), seed, thieves, 2000, kind.Multiplicity())
-					if dup > 0 {
-						t.Logf("%v: %d duplicate deliveries absorbed by multiplicity accounting", kind, dup)
-					}
+				t.Run(fmt.Sprintf("%s/thieves=%d/seed=%d", e.name, thieves, seed), func(t *testing.T) {
+					stressDeque(t, e.make(4), seed, thieves, 2000)
 				})
 			}
 		}
 	}
 }
 
-// TestRelaxedSingleElementRounds hammers the exact window where relaxed
-// duplicates are born: one element in the deque, the owner popping it while
-// two thieves race the recheck-then-store in Steal. Thousands of rounds;
-// every round the element must be delivered at least once (to anyone),
-// and total deliveries are allowed to exceed rounds only because the engine
-// declares multiplicity.
-func TestRelaxedSingleElementRounds(t *testing.T) {
-	const (
-		rounds  = 5000
-		thieves = 2
-	)
-	d := NewRelaxed[int](4)
-	var (
-		taken   atomic.Int64 // total deliveries across owner and thieves
-		stop    atomic.Bool
-		rescued atomic.Int64 // thief deliveries
-		wg      sync.WaitGroup
-	)
-	for i := 0; i < thieves; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				if v := d.Steal(); v != nil {
-					taken.Add(1)
-					rescued.Add(1)
-					_ = *v
-				}
-			}
-		}()
-	}
-	vals := make([]int, rounds)
-	for r := 0; r < rounds; r++ {
-		vals[r] = r
-		d.Push(&vals[r])
-		// Pop until this round's element is gone: either we got it or a
-		// thief did. Ghost slots return nil and drain with retries.
-		for {
-			if v := d.Pop(); v != nil {
-				taken.Add(1)
-				continue
-			}
-			if d.Len() <= 0 {
-				break
-			}
-			runtime.Gosched()
-		}
-	}
-	stop.Store(true)
-	wg.Wait()
-	if got := taken.Load(); got < rounds {
-		t.Fatalf("at-least-once broken: %d deliveries for %d single-element rounds", got, rounds)
-	} else if got > rounds {
-		t.Logf("multiplicity: %d deliveries for %d rounds (%d duplicates, %d via thieves)",
-			got, rounds, got-int64(rounds), rescued.Load())
-	}
-}
-
-// FuzzDequeConcurrent explores randomized concurrent schedules across all
-// engines: the fuzzer picks the owner-script seed and the thief count, the
-// invariants stay fixed per engine. Complements FuzzDequeOps, which
+// FuzzDequeConcurrent explores randomized concurrent schedules over both
+// deques: the fuzzer picks the owner-script seed and the thief count, the
+// invariants stay fixed. Complements FuzzDequeOps, which
 // differentially fuzzes the single-threaded semantics against the Locked
 // reference.
 func FuzzDequeConcurrent(f *testing.F) {
@@ -205,8 +151,8 @@ func FuzzDequeConcurrent(f *testing.F) {
 	f.Add(int64(-7), uint8(1))
 	f.Fuzz(func(t *testing.T, seed int64, thieves uint8) {
 		n := int(thieves)%4 + 1
-		for _, kind := range Kinds() {
-			stressDeque(t, NewEngine[int](kind, 4), seed, n, 500, kind.Multiplicity())
+		for _, e := range engines {
+			stressDeque(t, e.make(4), seed, n, 500)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -24,6 +25,11 @@ func (o *obsCollector) entitles() []ObsEvent {
 // fake clock: 2:1 weights on 6 cores must publish a (4, 2) split on the
 // first tick (init trigger), and a later weight change must survive the
 // hysteresis before republishing an equal split.
+//
+// Both programs hold a running gate task for the whole test, so each
+// reads N_a ≥ 1 (active) on every arbiter tick. Without it, idle workers
+// racing to sleep before tick 1 could leave one program reading inactive
+// and the other taking every core.
 func TestArbiterPublishesWeightedEntitlements(t *testing.T) {
 	clk := vclock.NewFake()
 	col := &obsCollector{}
@@ -55,12 +61,35 @@ func TestArbiterPublishesWeightedEntitlements(t *testing.T) {
 		t.Fatalf("QoS roundtrip = (%v, %v)", w, slo)
 	}
 
-	// Waiters: system sweeper, arbiter loop, two program coordinators.
-	// Advance delivers a tick synchronously but returns before the handler
-	// finishes; the following Advance cannot deliver until the previous
-	// handler looped back to its ticker, so state from tick N is settled
-	// once Advance N+1 returns.
-	clk.BlockUntil(4)
+	started := make(chan struct{})
+	release := make(chan struct{})
+	gate := func(*Ctx) {
+		started <- struct{}{}
+		<-release
+	}
+	var runs sync.WaitGroup
+	for _, p := range []*Program{p1, p2} {
+		runs.Add(1)
+		go func() {
+			defer runs.Done()
+			if err := p.Run(gate); err != nil {
+				t.Errorf("Run: %v", err)
+			}
+		}()
+	}
+	defer func() {
+		close(release)
+		runs.Wait()
+	}()
+	<-started
+	<-started
+
+	// Waiters: system sweeper, arbiter loop, two program coordinators and
+	// the two Runs' re-wake tickers. Advance delivers a tick synchronously
+	// but returns before the handler finishes; the following Advance
+	// cannot deliver until the previous handler looped back to its ticker,
+	// so state from tick N is settled once Advance N+1 returns.
+	clk.BlockUntil(6)
 	clk.Advance(period) // tick 1: init publish
 	clk.Advance(period) // tick 2: stable (and settles tick 1)
 	if got := sys.Entitlements(); got[0] != 4 || got[1] != 2 {

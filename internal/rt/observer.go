@@ -30,7 +30,7 @@ const (
 	// (Woken, Claimed, Reclaimed).
 	ObsCoordTick
 	// ObsJoin: the program (re)joined the table lease; Epoch is the new
-	// generation.
+	// generation and Home the block it launched on.
 	ObsJoin
 	// ObsSweep: a sweep found Victim's lease expired; Cores slots were
 	// freed. Prog is the sweeping program (0 for the system sweeper).
@@ -131,14 +131,14 @@ type ObsEvent struct {
 
 	// Cores is the number of slots freed by an ObsSweep.
 	Cores int `json:"cores,omitempty"`
+	// Home is the block an ObsJoin launched on: the static even split, or
+	// the entitled block when an arbiter has published one. Workers
+	// outside it start asleep without an ObsSleep.
+	Home []int `json:"home,omitempty"`
 	// Spawned/Executed are the program's cumulative task counters on
-	// ObsRunDone (root injections count as spawns). DupPops counts pops
-	// the execute-once guard absorbed; it is legal (and expected) only
-	// under a deque engine with multiplicity — the schedcheck checker
-	// flags any duplicate pop reported by a strict engine.
+	// ObsRunDone (root injections count as spawns).
 	Spawned  int64 `json:"spawned,omitempty"`
 	Executed int64 `json:"executed,omitempty"`
-	DupPops  int64 `json:"dup_pops,omitempty"`
 	// LocalSteals/RemoteSteals split the program's cumulative deque steals
 	// by whether thief and victim shared a socket (ObsRunDone). Under a
 	// flat topology RemoteSteals is always 0.

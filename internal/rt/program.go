@@ -164,8 +164,8 @@ func (p *Program) start() {
 		// there is no window where the program occupies cores without a
 		// live lease a survivor could check.
 		epoch := p.sys.table.Join(p.id)
-		p.emit(ObsEvent{Kind: ObsJoin, Core: -1, Epoch: epoch})
-		p.takeHome()
+		p.emit(ObsEvent{Kind: ObsJoin, Core: -1, Epoch: epoch, Home: home})
+		p.takeHome(home)
 		for _, w := range p.workers {
 			if isHome[w.id] {
 				p.launch(w, stateActive)
@@ -194,7 +194,7 @@ func (p *Program) launch(w *worker, initial int32) {
 		p.active.Add(1)
 	}
 	p.wg.Add(1)
-	go w.loop()
+	go w.loop(initial == stateSleeping)
 }
 
 // takeHome (re)establishes the program's home allocation through the CAS
@@ -202,12 +202,11 @@ func (p *Program) launch(w *worker, initial int32) {
 // eviction flag tells the borrower to stop). Unlike a blind install this
 // is safe when other programs — possibly in other OS processes — already
 // run on the shared table: a late or restarted joiner takes its home
-// share back the same way a reclaiming owner does. The home is the
-// entitled block when an arbiter is publishing, the static even split
-// otherwise.
-func (p *Program) takeHome() {
+// share back the same way a reclaiming owner does. home is the block the
+// workers launch on (Program.homeCores at start), so the cores taken and
+// the workers started active always agree.
+func (p *Program) takeHome(home []int) {
 	t := p.sys.table
-	home := p.homeCores()
 	epoch := t.EntitlementEpoch()
 	for _, c := range home {
 		switch occ := t.Occupant(c); {
@@ -269,7 +268,6 @@ func (p *Program) Run(root Task) error {
 			p.st.runs.Add(1)
 			p.emit(ObsEvent{Kind: ObsRunDone, Core: -1,
 				Spawned: p.st.spawns(), Executed: p.st.execs(),
-				DupPops:     p.st.dupPops(),
 				LocalSteals: p.st.localSteals(), RemoteSteals: p.st.remoteSteals()})
 			return nil
 		case <-tick.C():

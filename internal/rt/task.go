@@ -35,21 +35,9 @@ func (f *frame) childDone() {
 
 // taskNode is a queued task: the function plus the parent frame it
 // reports completion to.
-//
-// seq is the execute-once guard for engines with multiplicity (a relaxed
-// deque may hand the same node to two poppers). It is a claim epoch: even
-// means claimable, odd means claimed (and, after recycling, free-listed).
-// Execution claims with a CAS from the even value; getNode republishes a
-// recycled node by bumping it back to even after the new fn/parent are in
-// place. Because the epoch only ever increases, a popper holding a stale
-// node can never claim an incarnation that was already claimed (no ABA):
-// at worst it claims — and correctly executes — the node's newest
-// incarnation, and the popper that pushed it loses the race instead.
-// Strict engines never touch seq.
 type taskNode struct {
 	fn     Task
 	parent *frame
-	seq    atomic.Uint64
 }
 
 // Ctx is the worker-side handle a Task uses to spawn and join children.
@@ -129,22 +117,7 @@ func (c *Ctx) Sync() {
 // body runs (its fields are copied out first — see putNode) and the Ctx
 // after the final sync proves the frame quiescent; steady-state neither
 // allocates.
-//
-// Under an engine with multiplicity the same node can arrive here twice;
-// the seq claim makes execution exactly-once. The check lives here — at
-// execution, off the take/steal paths — so the deque hot path stays
-// fence-free. Losers must not touch the node beyond the failed CAS: the
-// winner may already have recycled it (recycling is the winner's sole
-// right, which is what makes the PR-4 free-list path safe under duplicate
-// reachability).
 func (w *worker) execute(t *taskNode) {
-	if w.guard {
-		s := t.seq.Load()
-		if s&1 != 0 || !t.seq.CompareAndSwap(s, s+1) {
-			w.st.dupPops.Add(1)
-			return
-		}
-	}
 	w.st.execs.Add(1)
 	fn, parent := t.fn, t.parent
 	w.putNode(t)

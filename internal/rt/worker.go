@@ -25,13 +25,9 @@ type worker struct {
 	id     int
 	socket int // Topology.SocketOf(id); fixed for the worker's life
 
-	deque deque.Engine[taskNode]
+	deque *deque.Deque[taskNode]
 	rng   uint64 // xorshift64* victim-selector state; owner-only
 	pool  taskPool
-	// guard arms the execute-once claim on taskNodes. It is set exactly
-	// when the engine has multiplicity (duplicate pops possible); strict
-	// engines pay one predictable branch per execute and nothing else.
-	guard bool
 
 	failedSteals int
 	// remoteSkip is the remaining bounded remote-steal backoff: after a
@@ -65,13 +61,11 @@ type worker struct {
 }
 
 func newWorker(p *Program, id int) *worker {
-	eng := p.sys.cfg.Engine
 	w := &worker{
 		p:      p,
 		id:     id,
 		socket: p.sys.cfg.Topology.SocketOf(id),
-		deque:  deque.NewEngine[taskNode](eng, 64),
-		guard:  eng.Multiplicity(),
+		deque:  deque.New[taskNode](64),
 		// Same per-(program, worker) seed family the old rand.Rand used;
 		// xorshift needs a non-zero state, which the +1 guarantees.
 		rng:    uint64(int64(p.idx)*1_000_003 + int64(id)*97 + 1),
@@ -98,12 +92,15 @@ func (w *worker) nextRand() uint64 {
 
 // loop is Algorithm 1 on a live goroutine: pop the own pool, steal
 // otherwise, and under DWS/DWS-NC sleep after T_SLEEP consecutive failed
-// steals (releasing the core slot).
-func (w *worker) loop() {
+// steals (releasing the core slot). A worker launched asleep first waits
+// for its wake token: re-reading the state here instead would race a
+// wake that already flipped it active, leaving that token to cut the
+// worker's next park short without a matching ObsWake.
+func (w *worker) loop(asleep bool) {
 	p := w.p
 	defer p.wg.Done()
 
-	if w.state.Load() == stateSleeping {
+	if asleep {
 		w.block()
 		if p.shutdown.Load() {
 			return

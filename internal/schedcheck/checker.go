@@ -11,15 +11,9 @@
 //   - sleep/wake alternation: per worker slot, sleeps and wakes strictly
 //     alternate, so at most one active worker ever exists per (program,
 //     core) slot;
-//   - task conservation, generalised for pluggable deque engines: at every
-//     run boundary the program has executed exactly as many tasks as were
-//     spawned — no task is lost between deque, steal and sleep transitions.
-//     Pops are at-least-once: a deque engine with multiplicity (relaxed)
-//     may hand the same task node to two workers, which the runtime's
-//     execute-once guard absorbs and reports as DupPops. Absorbed
-//     duplicates are legal only under such an engine — any DupPops
-//     reported under a strict engine (Chase–Lev, Locked) is a violation,
-//     as is a DupPops counter that regresses;
+//   - task conservation: at every run boundary the program has executed
+//     exactly as many tasks as were spawned — no task is lost between
+//     deque, steal and sleep transitions — and neither counter regresses;
 //   - the §3.3 three-case rule: every coordinator pass reports its
 //     observation (N_b, N_a, N_f, N_r) and its actions, which must obey
 //     N_w = N_b/N_a and the free-first/reclaim-second case order;
@@ -75,7 +69,6 @@ import (
 
 	"dws/internal/arbiter"
 	"dws/internal/coretable"
-	"dws/internal/deque"
 	"dws/internal/rt"
 	"dws/internal/topo"
 )
@@ -103,13 +96,6 @@ type Options struct {
 	Programs int
 	// Policy is the system policy under observation.
 	Policy rt.Policy
-	// Engine is the deque engine the observed system runs on; it decides
-	// whether absorbed duplicate pops (ObsRunDone.DupPops) are legal. The
-	// zero value (deque.KindAuto) is treated like the engines it resolves
-	// to — strict — so existing callers keep the exactly-once contract;
-	// pass the system's resolved engine (rt.System.Engine) to permit
-	// multiplicity.
-	Engine deque.Kind
 	// SocketSize is the number of cores per socket of the observed
 	// machine (0 or ≥ Cores = flat). On a multi-socket geometry the
 	// entitled home blocks are the placed ones (arbiter.Place) and each
@@ -144,7 +130,7 @@ type Checker struct {
 	occ        []int32            // modeled table occupancy (DWS)
 	asleep     map[int32][]bool   // per prog ID, per core: modeled sleeping
 	epochs     map[int32]int64    // last seen lease epoch per prog ID
-	lastDone   map[int32][3]int64 // spawned, executed, dup-pops
+	lastDone   map[int32][2]int64 // spawned, executed
 	counts     map[rt.ObsKind]int64
 	events     []rt.ObsEvent
 	violations []Violation
@@ -170,7 +156,7 @@ func New(opt Options) *Checker {
 		occ:      make([]int32, opt.Cores),
 		asleep:   make(map[int32][]bool),
 		epochs:   make(map[int32]int64),
-		lastDone: make(map[int32][3]int64),
+		lastDone: make(map[int32][2]int64),
 		counts:   make(map[rt.ObsKind]int64),
 		ents:     make([]int64, opt.Programs),
 	}
@@ -256,7 +242,17 @@ func (c *Checker) Observe(ev rt.ObsEvent) {
 				fmt.Sprintf("join epoch %d after epoch %d", ev.Epoch, last))
 		}
 		c.epochs[ev.Prog] = ev.Epoch
-		c.asleepOf(ev.Prog) // establish the initial model at join time
+		// The joiner's workers launch active exactly on its reported home
+		// block, which is the entitled one (not the static split) when an
+		// arbiter published before the join.
+		a := make([]bool, c.opt.Cores)
+		for i := range a {
+			a[i] = true
+		}
+		for _, core := range ev.Home {
+			a[core] = false
+		}
+		c.asleep[ev.Prog] = a
 	case rt.ObsSweep:
 		if last, ok := c.epochs[ev.Victim]; ok && ev.Epoch > last {
 			c.violate("lease-epoch-monotone", ev,
@@ -279,27 +275,18 @@ func (c *Checker) Observe(ev rt.ObsEvent) {
 	case rt.ObsEntitle:
 		c.checkEntitle(ev)
 	case rt.ObsRunDone:
-		// Exactly-once execution holds on every engine: the execute-once
-		// guard makes duplicate pops invisible to the Executed counter.
 		if ev.Spawned != ev.Executed {
 			c.violate("task-conservation", ev,
 				fmt.Sprintf("run boundary with %d spawned, %d executed",
 					ev.Spawned, ev.Executed))
 		}
-		// At-least-once pops: absorbed duplicates are only legal under an
-		// engine that declares multiplicity.
-		if ev.DupPops > 0 && !c.opt.Engine.Multiplicity() {
-			c.violate("duplicate-pop-legality", ev,
-				fmt.Sprintf("%d duplicate pops absorbed under strict engine %v",
-					ev.DupPops, c.opt.Engine))
-		}
 		prev := c.lastDone[ev.Prog]
-		if ev.Spawned < prev[0] || ev.Executed < prev[1] || ev.DupPops < prev[2] {
+		if ev.Spawned < prev[0] || ev.Executed < prev[1] {
 			c.violate("task-conservation", ev,
-				fmt.Sprintf("counters regressed: (%d,%d,%d) after (%d,%d,%d)",
-					ev.Spawned, ev.Executed, ev.DupPops, prev[0], prev[1], prev[2]))
+				fmt.Sprintf("counters regressed: (%d,%d) after (%d,%d)",
+					ev.Spawned, ev.Executed, prev[0], prev[1]))
 		}
-		c.lastDone[ev.Prog] = [3]int64{ev.Spawned, ev.Executed, ev.DupPops}
+		c.lastDone[ev.Prog] = [2]int64{ev.Spawned, ev.Executed}
 	}
 }
 

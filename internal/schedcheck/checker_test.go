@@ -165,14 +165,14 @@ func TestCheckerCoordTickBounds(t *testing.T) {
 
 func TestCheckerStrictExactWakeCount(t *testing.T) {
 	// The under-waking signature of a coordinator that skips the reclaim
-	// cases: N_f = 0, N_r > 0, demand present, nothing woken. The relaxed
+	// cases: N_f = 0, N_r > 0, demand present, nothing woken. The lenient
 	// checker accepts it; Strict must not.
 	ev := rt.ObsEvent{Kind: rt.ObsCoordTick, Prog: 1, Core: -1,
 		NB: 6, NA: 1, NW: 6, NF: 0, NR: 1}
-	relaxed := New(Options{Cores: 4, Programs: 2, Policy: rt.DWS})
-	relaxed.Observe(ev)
-	if err := relaxed.Err(); err != nil {
-		t.Fatalf("relaxed checker flagged the under-waking tick: %v", err)
+	lenient := New(Options{Cores: 4, Programs: 2, Policy: rt.DWS})
+	lenient.Observe(ev)
+	if err := lenient.Err(); err != nil {
+		t.Fatalf("lenient checker flagged the under-waking tick: %v", err)
 	}
 	strict := New(Options{Cores: 4, Programs: 2, Policy: rt.DWS, Strict: true})
 	strict.Observe(ev)

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"dws/internal/deque"
 	"dws/internal/rt"
 	"dws/internal/sim"
 	"dws/internal/task"
@@ -117,13 +116,10 @@ type Divergence struct {
 // PolicyReport is the conformance outcome of one scenario under one
 // policy.
 type PolicyReport struct {
-	Scenario string `json:"scenario"`
-	Policy   string `json:"policy"`
-	// Engine is the deque engine both substrates ran under (resolved once
-	// per conformance run, so CI's engine matrix shows up in artifacts).
-	Engine string           `json:"engine,omitempty"`
-	Sim    SubstrateOutcome `json:"sim"`
-	Live   SubstrateOutcome `json:"live"`
+	Scenario string           `json:"scenario"`
+	Policy   string           `json:"policy"`
+	Sim      SubstrateOutcome `json:"sim"`
+	Live     SubstrateOutcome `json:"live"`
 	// SimTrace is the simulator's trace-event summary (kind → count).
 	SimTrace map[string]int `json:"sim_trace,omitempty"`
 	// CheckerViolations counts live-side invariant violations (their
@@ -134,9 +130,7 @@ type PolicyReport struct {
 
 // Report is a full conformance run.
 type Report struct {
-	Seed int64 `json:"seed"`
-	// Engine is the resolved deque engine every cell ran under.
-	Engine  string         `json:"engine,omitempty"`
+	Seed    int64          `json:"seed"`
 	Reports []PolicyReport `json:"reports"`
 }
 
@@ -234,19 +228,12 @@ var ConformancePolicies = []rt.Policy{rt.ABP, rt.EP, rt.DWS, rt.DWSNC}
 // RunConformance executes every scenario under every policy on both
 // substrates and returns the diff report. seed parameterises the
 // simulator's RNG (the live side derives determinism from the fake clock,
-// not the seed). The deque engine is resolved once from the environment
-// (DWS_DEQUE_ENGINE, default Chase–Lev) and threaded through both
-// substrates and the invariant Checker, so CI can sweep the conformance
-// matrix per engine.
+// not the seed).
 func RunConformance(scenarios []Scenario, policies []rt.Policy, seed int64) (*Report, error) {
-	eng, err := deque.KindAuto.Resolve()
-	if err != nil {
-		return nil, fmt.Errorf("schedcheck: %w", err)
-	}
-	rep := &Report{Seed: seed, Engine: eng.String()}
+	rep := &Report{Seed: seed}
 	for _, sc := range scenarios {
 		for _, pol := range policies {
-			pr, err := runOne(sc, pol, seed, eng)
+			pr, err := runOne(sc, pol, seed)
 			if err != nil {
 				return nil, fmt.Errorf("schedcheck: %s/%s: %w", sc.Name, pol, err)
 			}
@@ -264,20 +251,19 @@ func RunConformance(scenarios []Scenario, policies []rt.Policy, seed int64) (*Re
 // never retried.
 const liveRetries = 2
 
-func runOne(sc Scenario, pol rt.Policy, seed int64, eng deque.Kind) (PolicyReport, error) {
-	simOut, simTrace, err := runSimSide(sc, pol, seed, eng)
+func runOne(sc Scenario, pol rt.Policy, seed int64) (PolicyReport, error) {
+	simOut, simTrace, err := runSimSide(sc, pol, seed)
 	if err != nil {
-		return PolicyReport{Scenario: sc.Name, Policy: pol.String(), Engine: eng.String()},
+		return PolicyReport{Scenario: sc.Name, Policy: pol.String()},
 			fmt.Errorf("sim side: %w", err)
 	}
 	var pr PolicyReport
 	for attempt := 0; ; attempt++ {
-		liveOut, checker, err := runLiveSide(sc, pol, eng)
+		liveOut, checker, err := runLiveSide(sc, pol)
 		if err != nil {
 			return pr, fmt.Errorf("live side: %w", err)
 		}
 		pr = compareOne(sc, pol, simOut, simTrace, liveOut, checker)
-		pr.Engine = eng.String()
 		if len(pr.Divergences) == 0 || attempt >= liveRetries || !timingOnly(pr) {
 			return pr, nil
 		}
@@ -399,7 +385,7 @@ func compareOne(sc Scenario, pol rt.Policy, simOut SubstrateOutcome, simTrace ma
 // runSimSide executes the scenario on the discrete-event simulator with a
 // neutral machine model (no cache or contention penalties), so the diff
 // isolates scheduling behaviour.
-func runSimSide(sc Scenario, pol rt.Policy, seed int64, eng deque.Kind) (SubstrateOutcome, map[string]int, error) {
+func runSimSide(sc Scenario, pol rt.Policy, seed int64) (SubstrateOutcome, map[string]int, error) {
 	socketSize := sc.Cores
 	if sc.SocketSize > 0 {
 		socketSize = sc.SocketSize
@@ -408,7 +394,6 @@ func runSimSide(sc Scenario, pol rt.Policy, seed int64, eng deque.Kind) (Substra
 		Cores:         sc.Cores,
 		SocketSize:    socketSize,
 		Policy:        simPolicy(pol),
-		Engine:        eng,
 		QuantumUS:     1000,
 		CtxSwitchUS:   1,
 		StealCostUS:   2,
@@ -459,7 +444,7 @@ func runSimSide(sc Scenario, pol rt.Policy, seed int64, eng deque.Kind) (Substra
 // beats and Run's re-wake fallback all fire while the workers burn real
 // CPU; determinism of the *protocol* is asserted by the checker, while
 // durations are wall-clock (used only for shares and ranking).
-func runLiveSide(sc Scenario, pol rt.Policy, eng deque.Kind) (SubstrateOutcome, *Checker, error) {
+func runLiveSide(sc Scenario, pol rt.Policy) (SubstrateOutcome, *Checker, error) {
 	// Core slots are a runtime-level notion; real parallelism must not
 	// exceed the physical host. Oversubscribing GOMAXPROCS pins spinning
 	// workers on competing OS threads, and the OS's millisecond quanta then
@@ -474,7 +459,6 @@ func runLiveSide(sc Scenario, pol rt.Policy, eng deque.Kind) (SubstrateOutcome, 
 		Cores:      sc.Cores,
 		Programs:   len(sc.Graphs),
 		Policy:     pol,
-		Engine:     eng,
 		SocketSize: sc.SocketSize,
 	})
 	const coordPeriod = 2 * time.Millisecond
@@ -482,7 +466,6 @@ func runLiveSide(sc Scenario, pol rt.Policy, eng deque.Kind) (SubstrateOutcome, 
 		Cores:       sc.Cores,
 		Programs:    len(sc.Graphs),
 		Policy:      pol,
-		Engine:      eng,
 		CoordPeriod: coordPeriod,
 		Clock:       fake,
 		Observer:    checker.Observe,

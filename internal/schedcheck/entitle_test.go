@@ -1,6 +1,7 @@
 package schedcheck
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -173,13 +174,40 @@ func TestFaultIgnoreWeightsCaught(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sys.NewProgram("bronze"); err != nil {
+		bronze, err := sys.NewProgram("bronze")
+		if err != nil {
 			t.Fatal(err)
 		}
 		gold.SetQoS(2, 0)
-		// Waiters: sweeper, arbiter loop, two coordinators. The first tick
-		// publishes (init trigger); the second settles it.
-		fake.BlockUntil(4)
+		// A running gate task per program keeps both active (N_a ≥ 1) on
+		// every arbiter tick, so the weights — not which idle workers
+		// happened to fall asleep first — decide the split.
+		started := make(chan struct{})
+		release := make(chan struct{})
+		gate := func(*rt.Ctx) {
+			started <- struct{}{}
+			<-release
+		}
+		var runs sync.WaitGroup
+		for _, p := range []*rt.Program{gold, bronze} {
+			runs.Add(1)
+			go func() {
+				defer runs.Done()
+				if err := p.Run(gate); err != nil {
+					t.Errorf("Run: %v", err)
+				}
+			}()
+		}
+		defer func() {
+			close(release)
+			runs.Wait()
+		}()
+		<-started
+		<-started
+		// Waiters: sweeper, arbiter loop, two coordinators and the two
+		// Runs' re-wake tickers. The first tick publishes (init trigger);
+		// the second settles it.
+		fake.BlockUntil(6)
 		fake.Advance(period)
 		fake.Advance(period)
 		return ck

@@ -52,9 +52,6 @@ type Stats struct {
 	// cores those sweeps freed (DWS only).
 	DeadSweeps     int64 `json:"dead_sweeps,omitempty"`
 	CoresRecovered int64 `json:"cores_recovered,omitempty"`
-	// DupPops counts duplicate pops the execute-once guard absorbed
-	// (non-zero only under a multiplicity deque engine such as relaxed).
-	DupPops int64 `json:"dup_pops,omitempty"`
 }
 
 // FromRTStats converts runtime counters to the wire form.
@@ -72,7 +69,6 @@ func FromRTStats(s rt.Stats) Stats {
 		Runs:           s.Runs,
 		DeadSweeps:     s.DeadSweeps,
 		CoresRecovered: s.CoresRecovered,
-		DupPops:        s.DupPops,
 	}
 }
 
@@ -92,7 +88,6 @@ func (s Stats) Sub(o Stats) Stats {
 		Runs:           s.Runs - o.Runs,
 		DeadSweeps:     s.DeadSweeps - o.DeadSweeps,
 		CoresRecovered: s.CoresRecovered - o.CoresRecovered,
-		DupPops:        s.DupPops - o.DupPops,
 	}
 }
 
@@ -129,6 +124,9 @@ type TenantInfo struct {
 	QueueDepth int    `json:"queue_depth"`
 	QueueCap   int    `json:"queue_cap"`
 	JobsServed int64  `json:"jobs_served"`
+	// InFlight reports whether the tenant's runner is executing a job. It
+	// clears before that job's response is released.
+	InFlight bool `json:"in_flight"`
 	// Shed counts queued jobs removed under global overload to admit
 	// better-placed work; EarlyRejected counts jobs 429'd at submit
 	// because their predicted queue wait exceeded their deadline.
@@ -151,8 +149,6 @@ type TenantInfo struct {
 // label its report.
 type Info struct {
 	Policy string `json:"policy"`
-	// Engine is the hosted system's resolved deque engine.
-	Engine string `json:"engine,omitempty"`
 	Cores  int    `json:"cores"`
 	// Topology describes the hosted system's core topology ("flat" when
 	// locality-aware placement is off).

@@ -446,13 +446,13 @@ func TestSilentExpiryReplaced(t *testing.T) {
 			defer close(pin)
 			submit(t, hs.URL, JobRequest{Tenant: "a", Kernel: "Mergesort", Size: 1.0})
 		}()
+		// The warm-up's response came back after its in-flight flag
+		// cleared, so the flag set again means the pin is running.
 		deadline := time.Now().Add(10 * time.Second)
 		for {
 			var tenants []TenantInfo
 			getJSON(t, hs.URL+"/v1/tenants", &tenants)
-			if len(tenants) == 1 && tenants[0].JobsServed == 1 && tenants[0].QueueDepth == 0 &&
-				tenants[0].Stats.Runs == 1 {
-				// The warm-up finished and the pin was dequeued: it is running.
+			if len(tenants) == 1 && tenants[0].InFlight {
 				break
 			}
 			if time.Now().After(deadline) {

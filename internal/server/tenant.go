@@ -243,6 +243,7 @@ func (t *tenant) info() TenantInfo {
 		QueueDepth:    t.queueLen(),
 		QueueCap:      t.depth,
 		JobsServed:    t.jobsServed.Load(),
+		InFlight:      t.inFlight.Load(),
 		Shed:          t.shed.Load(),
 		EarlyRejected: t.earlyRejected.Load(),
 		CoresHeld:     held,

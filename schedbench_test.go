@@ -67,12 +67,6 @@ func runEntry(name string, fn func(b *testing.B)) bench.BenchEntry {
 			AllocsPerOp: r.AllocsPerOp(),
 			BytesPerOp:  r.AllocedBytesPerOp(),
 		}
-		if len(r.Extra) > 0 {
-			e.Extra = make(map[string]float64, len(r.Extra))
-			for k, v := range r.Extra {
-				e.Extra[k] = v
-			}
-		}
 		if i == 0 || e.NsPerOp < best.NsPerOp {
 			best = e
 		}
@@ -88,19 +82,13 @@ type namedBench struct {
 // rtKernelBench benchmarks one kernel run end-to-end on the live runtime
 // under pol: 4 core slots, one program, per-iteration input reset outside
 // nothing (the copy is part of the op, exactly like the -seq entries, so
-// rt-vs-seq ratios are apples to apples). The engine is pinned to
-// Chase–Lev so the committed baseline is independent of DWS_DEQUE_ENGINE;
-// rtKernelBenchEngine spells out other engines.
+// rt-vs-seq ratios are apples to apples).
 func rtKernelBench(pol rt.Policy, mk func(b *testing.B) (task rt.Task, reset func())) func(b *testing.B) {
-	return rtKernelBenchCfg(rt.Config{Policy: pol, Engine: deque.KindChaseLev}, mk)
-}
-
-func rtKernelBenchEngine(pol rt.Policy, eng deque.Kind, mk func(b *testing.B) (task rt.Task, reset func())) func(b *testing.B) {
-	return rtKernelBenchCfg(rt.Config{Policy: pol, Engine: eng}, mk)
+	return rtKernelBenchCfg(rt.Config{Policy: pol}, mk)
 }
 
 // rtKernelBenchCfg fills the fixed 4-core single-program harness around
-// cfg's policy/engine/topology choices.
+// cfg's policy/topology choices.
 func rtKernelBenchCfg(cfg rt.Config, mk func(b *testing.B) (task rt.Task, reset func())) func(b *testing.B) {
 	return func(b *testing.B) {
 		cfg.Cores, cfg.Programs = 4, 1
@@ -242,17 +230,14 @@ func coreBattery() []namedBench {
 
 // hotpathBattery is the rt-overhead extension: three kernels end-to-end on
 // the live runtime under DWS and ABP (fft-rt-dws already sits in the core
-// battery), plus the per-engine deque micro-benchmarks. Comparing each
+// battery), plus the thief-side deque micro-benchmarks. Comparing each
 // kernel entry against its -seq sibling isolates the scheduling overhead
-// the paper claims is small; the steal-heavy chaselev/relaxed pair is the
-// committed comparison benchgate watches to judge whether the fence-free
-// engine's cheaper Steal (plain store vs CAS) pays off where thieves
-// dominate.
+// the paper claims is small.
 func hotpathBattery() []namedBench {
 	// stealHeavy drains a full batch through Steal per op — the thief-side
-	// path only — so the engines' steal costs dominate the measurement.
+	// path only — so the steal CAS dominates the measurement.
 	const stealBatch = 256
-	stealHeavy := func(d deque.Engine[int]) func(b *testing.B) {
+	stealHeavy := func(d *deque.Deque[int]) func(b *testing.B) {
 		return func(b *testing.B) {
 			v := 1
 			b.ResetTimer()
@@ -272,74 +257,72 @@ func hotpathBattery() []namedBench {
 	// cycling a fixed batch through Push/Pop — the N-thieves-vs-one-owner
 	// shape two-phase victim selection concentrates on a loaded socket's
 	// deques. Elements carry their slot index; an epoch-stamped claim
-	// array separates unique hand-outs from duplicates, so the relaxed
-	// engine's multiplicity cost surfaces as the (ungated, informational)
-	// dups/op metric while ns/op per drained batch stays the gated number.
-	// Strict Chase–Lev must report dups/op = 0.
+	// array separates unique hand-outs from duplicates, and a duplicate
+	// fails the benchmark: the Chase–Lev deque hands each element out
+	// exactly once.
 	const contThieves = 3
 	const contBatch = 256
-	contendedSteal := func(kind deque.Kind) func(b *testing.B) {
-		return func(b *testing.B) {
-			d := deque.NewEngine[int](kind, contBatch)
-			ids := make([]int, contBatch)
-			claims := make([]atomic.Int64, contBatch)
-			for j := range ids {
-				ids[j] = j
+	contendedSteal := func(b *testing.B) {
+		d := deque.New[int](contBatch)
+		ids := make([]int, contBatch)
+		claims := make([]atomic.Int64, contBatch)
+		for j := range ids {
+			ids[j] = j
+		}
+		var epoch, taken, dups atomic.Int64
+		// consume claims one hand-out: the first claim of a slot per
+		// epoch is unique, every other is a duplicate. The CAS retry
+		// loop is bounded (claims only ever advance toward the current
+		// epoch).
+		consume := func(p *int) bool {
+			if p == nil {
+				return false
 			}
-			var epoch, taken, dups atomic.Int64
-			// consume claims one hand-out: the first claim of a slot per
-			// epoch is unique, every other is a duplicate. The CAS retry
-			// loop is bounded (claims only ever advance toward the current
-			// epoch) and keeps the owner's drain condition live even when
-			// stale relaxed-engine hand-outs race a fresh one.
-			consume := func(p *int) bool {
-				if p == nil {
-					return false
+			for {
+				e := epoch.Load()
+				prev := claims[*p].Load()
+				if prev >= e {
+					dups.Add(1)
+					return true
 				}
-				for {
-					e := epoch.Load()
-					prev := claims[*p].Load()
-					if prev >= e {
-						dups.Add(1)
-						return true
-					}
-					if claims[*p].CompareAndSwap(prev, e) {
-						taken.Add(1)
-						return true
-					}
+				if claims[*p].CompareAndSwap(prev, e) {
+					taken.Add(1)
+					return true
 				}
 			}
-			var stop atomic.Bool
-			var wg sync.WaitGroup
-			for t := 0; t < contThieves; t++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for !stop.Load() {
-						if !consume(d.Steal()) {
-							runtime.Gosched()
-						}
-					}
-				}()
-			}
-			var goal int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				epoch.Add(1)
-				goal += contBatch
-				for j := range ids {
-					d.Push(&ids[j])
-				}
-				for taken.Load() < goal {
-					if !consume(d.Pop()) {
+		}
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		for t := 0; t < contThieves; t++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for !stop.Load() {
+					if !consume(d.Steal()) {
 						runtime.Gosched()
 					}
 				}
+			}()
+		}
+		var goal int64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			epoch.Add(1)
+			goal += contBatch
+			for j := range ids {
+				d.Push(&ids[j])
 			}
-			b.StopTimer()
-			stop.Store(true)
-			wg.Wait()
-			b.ReportMetric(float64(dups.Load())/float64(b.N), "dups/op")
+			for taken.Load() < goal {
+				if !consume(d.Pop()) {
+					runtime.Gosched()
+				}
+			}
+		}
+		b.StopTimer()
+		stop.Store(true)
+		wg.Wait()
+		if n := dups.Load(); n > 0 {
+			b.Fatalf("deque handed out %d duplicate elements", n)
 		}
 	}
 	return []namedBench{
@@ -348,36 +331,15 @@ func hotpathBattery() []namedBench {
 		{"kernels/mergesort-rt-abp-16384", rtKernelBench(rt.ABP, mergesortRT)},
 		{"kernels/cholesky-rt-dws-64", rtKernelBench(rt.DWS, choleskyRT)},
 		{"kernels/cholesky-rt-abp-64", rtKernelBench(rt.ABP, choleskyRT)},
-		{"deque/relaxed-push-pop", func(b *testing.B) {
-			d := deque.NewRelaxed[int](8)
-			v := 1
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d.Push(&v)
-				d.Pop()
-			}
-		}},
-		{"deque/relaxed-push-steal", func(b *testing.B) {
-			d := deque.NewRelaxed[int](8)
-			v := 1
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d.Push(&v)
-				d.Steal()
-			}
-		}},
 		{"deque/steal-heavy-chaselev", stealHeavy(deque.New[int](stealBatch))},
-		{"deque/steal-heavy-relaxed", stealHeavy(deque.NewRelaxed[int](stealBatch))},
-		{"deque/contended-steal-chaselev", contendedSteal(deque.KindChaseLev)},
-		{"deque/contended-steal-relaxed", contendedSteal(deque.KindRelaxed)},
-		{"kernels/fft-rt-dws-relaxed-4096", rtKernelBenchEngine(rt.DWS, deque.KindRelaxed, fftRT)},
+		{"deque/contended-steal-chaselev", contendedSteal},
 		// The socket twin of fft-rt-dws-4096: same kernel, same machine,
 		// but with 2-core sockets so placement and two-phase victim
 		// selection are live. Gating it next to the flat entry keeps the
 		// locality path honest — it must stay alloc-identical (the victim
 		// order is precomputed per worker) and within the ns/op tolerance.
 		{"kernels/fft-rt-dws-socket-4096", rtKernelBenchCfg(rt.Config{
-			Policy: rt.DWS, Engine: deque.KindChaseLev, Topology: topo.Uniform(4, 2),
+			Policy: rt.DWS, Topology: topo.Uniform(4, 2),
 		}, fftRT)},
 	}
 }
